@@ -7,7 +7,7 @@ the dependence edges the engine's region-interference analysis derived
 for the corresponding :class:`~repro.runtime.task.TaskRecord`, and an
 executor decides when the thunk actually runs.
 
-Three backends implement the same interface:
+Four backends implement the same interface:
 
 * :class:`SerialExecutor` — runs each thunk immediately at submit time,
   reproducing the historical eager behaviour exactly (and with zero
@@ -17,25 +17,38 @@ Three backends implement the same interface:
   task stream (records, requirements, engine dependences) is produced
   without executing a single task body — the substrate of the static
   plan analyzer (``repro.analyze``).
-* :class:`ThreadedExecutor` — schedules ready tasks onto a thread pool.
-  NumPy kernels release the GIL, so point tasks from one index launch
-  over a disjoint partition run genuinely concurrently.  Dependences
-  are the engine's happens-before edges (the same epochs the race
-  detector checks) plus one executor-only rule: same-operator
-  reductions to overlapping subsets *commute* in the timing model but
-  are serialized here in launch order, because ``+=`` on a shared NumPy
-  slice is not atomic — and serializing in launch order keeps results
-  bitwise deterministic.
+* :class:`ThreadedExecutor` — runs ready tasks on a thread pool.  NumPy
+  kernels release the GIL, so point tasks from one index launch over a
+  disjoint partition run genuinely concurrently.
+* ``ProcPoolExecutor`` (:mod:`repro.runtime.procpool`) — ships portable
+  bodies to a persistent pool of worker processes over shared-memory
+  regions, and runs host tasks in the parent.
+
+The two deferred backends are thin subclasses of one
+:class:`DependenceScheduler`, which owns everything derived from the
+dependence analysis: the pending graph, dependent release into one
+ready deque, first-error capture, the helping wait loop and deadlock
+diagnosis.  Dependences are the engine's happens-before edges (the same
+epochs the race detector checks) plus one executor-only rule:
+same-operator reductions to overlapping subsets *commute* in the timing
+model but are serialized here in launch order, because ``+=`` on a
+shared NumPy slice is not atomic — and serializing in launch order
+keeps results bitwise deterministic.  A backend implements only how a
+claimed node runs (``_run``: on the thread pool, or shipped to a pinned
+worker process / inline in the parent) and how a newly ready node is
+picked up (``_schedule``); the process-pool backend adds a check that
+fails a wait when a worker died with tasks in flight.
 
 Blocking on a :class:`~repro.runtime.future.Future` produced by a
 deferred task drains the executor up to that task.  Any thread that
 would block — the application thread in ``Future.get``/``fence`` or a
-worker whose body reads a future — instead *helps*: it claims ready
-tasks and runs them inline until its target completes, so a full pool
-of blocked workers can never starve the queue.  Waits that can make no
-progress at all detect deadlock instead of hanging: an unsatisfiable
-dependence, a dependence cycle, or a worker waiting on its own
-descendants raises :class:`DeadlockError`.
+body that reads a future — instead *helps*: it claims ready tasks and
+runs them until its target completes, so a full pool of blocked
+workers can never starve the queue.  Waits that can make no progress at
+all detect deadlock instead of hanging, identically on both deferred
+backends: an unsatisfiable dependence, a dependence cycle, or a body
+waiting on its own descendants raises :class:`DeadlockError` naming a
+``repro-deadlock/1`` dump of the blocked subgraph.
 """
 
 from __future__ import annotations
@@ -44,10 +57,13 @@ import json
 import os
 import tempfile
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
+    Deque,
     Dict,
     List,
     Optional,
@@ -58,6 +74,7 @@ from typing import (
 )
 
 from .kernels import TaskInvocation, fused_label
+from .region import Privilege
 from .task import TaskRecord
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -69,6 +86,7 @@ __all__ = [
     "CaptureExecutor",
     "EXECUTING_BACKENDS",
     "DeadlockError",
+    "DependenceScheduler",
     "ExecutorError",
     "SerialExecutor",
     "SymbolicValue",
@@ -185,7 +203,7 @@ class TaskProbe(Protocol):
 
 
 class TaskExecutor:
-    """Interface both backends implement."""
+    """Interface every backend implements."""
 
     #: Backend name, for reports and the bench harness.
     name: str = "abstract"
@@ -235,12 +253,12 @@ class TaskExecutor:
 
     def wait_for_future(self, future_uid: int) -> None:
         """Block until the task producing ``future_uid`` has executed.
-        No-op for futures this executor does not manage."""
-        raise NotImplementedError
+        No-op for futures this executor does not manage — every future,
+        for the backends that complete tasks at submit."""
 
     def drain(self) -> None:
-        """Block until every submitted task has executed."""
-        raise NotImplementedError
+        """Block until every submitted task has executed (a no-op for
+        the backends that complete tasks at submit)."""
 
     def shutdown(self) -> None:
         """Release worker resources (idempotent)."""
@@ -274,12 +292,6 @@ class SerialExecutor(TaskExecutor):
             on_done(thunk())
         finally:
             probe.task_finished(record.task_id)
-
-    def wait_for_future(self, future_uid: int) -> None:
-        pass
-
-    def drain(self) -> None:
-        pass
 
 
 class SymbolicValue:
@@ -341,69 +353,88 @@ class CaptureExecutor(TaskExecutor):
         self.n_captured += 1
         on_done(SymbolicValue(record.task_id, record.name))
 
-    def wait_for_future(self, future_uid: int) -> None:
-        pass
 
-    def drain(self) -> None:
-        pass
+#: One body of a scheduler node: ``(record, thunk, on_done, invocation)``.
+#: ``invocation`` is the portable body description the process-pool
+#: backend ships to a worker (None for in-process-only bodies).
+_Part = Tuple[
+    TaskRecord, Callable[[], object], Callable[[object], None], Optional[TaskInvocation]
+]
 
 
 class _Node:
-    """Scheduler state for one deferred task.
+    """Scheduler state for one deferred task or plan-fused task group.
 
-    Lifecycle: *blocked* (``waiting_on`` non-empty) → *ready* → *claimed*
-    (a pool worker or a helping waiter owns the body) → removed from the
-    pending map once the body and its completion bookkeeping finish.
+    Lifecycle: *blocked* (``waiting_on`` non-empty) → *ready* (queued on
+    the ready deque) → *claimed* (a backend or a helping waiter owns the
+    bodies) → removed from the pending map once the bodies and their
+    completion bookkeeping finish.
     """
 
     __slots__ = (
         "task_id",
         "name",
-        "thunk",
-        "on_done",
+        "parts",
         "waiting_on",
         "dependents",
         "claimed",
-        "members",
+        "directives",
     )
 
-    def __init__(
-        self,
-        task_id: int,
-        name: str,
-        thunk: Callable[[], object],
-        on_done: Callable[[object], None],
-    ):
+    def __init__(self, task_id: int, name: str, parts: List[_Part]) -> None:
         self.task_id = task_id
         self.name = name
-        self.thunk = thunk
-        self.on_done = on_done
+        #: One part for a plain task, several for a fused group (run in
+        #: launch order inside a single claim).
+        self.parts = parts
         self.waiting_on: Set[int] = set()
         self.dependents: List[int] = []
         self.claimed = False
-        #: Member records of a plan-fused node, else None.
-        self.members: Optional[List[TaskRecord]] = None
+        #: Backend-private per-node state (the process-pool backend's
+        #: translated fault directives); None otherwise.
+        self.directives: Any = None
+
+    @property
+    def member_ids(self) -> List[int]:
+        return [part[0].task_id for part in self.parts]
+
+    @property
+    def portable(self) -> bool:
+        """Every body carries an invocation, so the node can leave the
+        process."""
+        return all(part[3] is not None for part in self.parts)
 
 
 _current_task = threading.local()
 
 
-class ThreadedExecutor(TaskExecutor):
-    """Dependence-driven thread-pool scheduler with helping waiters."""
+class DependenceScheduler(TaskExecutor):
+    """The dependence-driven scheduler both deferred backends share.
 
-    name = "threads"
+    It owns everything derived from the dependence analysis: the pending
+    graph (fused-member aliases, the future → producer map, completed
+    ids), launch-order chaining of commuting reductions, dependent
+    release into one ready deque, first-error capture, the helping wait
+    loop and deadlock diagnosis.  A backend implements two hooks:
 
-    def __init__(self, n_workers: Optional[int] = None):
+    * :meth:`_run` — execute one claimed node and commit it through
+      :meth:`_finish`, at once or later from any thread;
+    * :meth:`_schedule` — called once for every node that becomes ready;
+      the default claims the oldest ready node and runs it on the
+      calling thread.
+
+    and may override :meth:`_check_workers_locked` to fail a wait whose
+    in-flight work can never come back.
+    """
+
+    def __init__(self, n_workers: Optional[int] = None) -> None:
         if n_workers is None:
             n_workers = os.cpu_count() or 1
         self._n_workers = max(1, int(n_workers))
-        self._pool = ThreadPoolExecutor(
-            max_workers=self._n_workers, thread_name_prefix="repro-exec"
-        )
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._pending: Dict[int, _Node] = {}
-        self._ready: List[int] = []  # ready, unclaimed task ids (FIFO)
+        self._ready: Deque[int] = deque()  # ready, unclaimed node ids (FIFO)
         self._completed: Set[int] = set()
         self._by_future: Dict[int, int] = {}
         #: Fused-member task id -> owning node id, so dependences named
@@ -413,8 +444,11 @@ class ThreadedExecutor(TaskExecutor):
         # Executor-only serialization of commuting reductions, per
         # (region uid, field): the last pending reducer per subset uid
         # plus the subsets themselves for overlap tests across uids.
-        self._reduce_tail: Dict[Tuple[int, str], Dict[int, Tuple[object, int]]] = {}
+        self._reduce_tail: Dict[Tuple[int, str], Dict[int, Tuple["Subset", int]]] = {}
         self._disjoint: Dict[Tuple[int, int], bool] = {}
+        #: Task ids inside a stall the backend performs itself (the
+        #: process-pool backend's stall directives); cleared at finish.
+        self._stalled: Set[int] = set()
         #: Optional callable returning the task ids currently held in an
         #: injected stall (set by the fault injector).  Deadlock
         #: diagnostics consult it so a chaos-test failure states whether
@@ -451,17 +485,13 @@ class ThreadedExecutor(TaskExecutor):
             self._disjoint[key] = hit
         return not hit
 
-    def _reduction_edges(self, record: TaskRecord, node_id: Optional[int] = None) -> Set[int]:
+    def _reduction_edges(self, record: TaskRecord, node_id: int) -> Set[int]:
         """Same-redop reductions on overlapping subsets commute in the
         simulated timeline (the engine adds no edge) but must not run
         concurrently on shared memory; chaining them in launch order
-        also keeps floating-point results deterministic.  ``node_id``
-        overrides the recorded tail id so fused members chain through
-        the node that subsumed them."""
-        from .region import Privilege
-
-        if node_id is None:
-            node_id = record.task_id
+        also keeps floating-point results deterministic.  The tail
+        records ``node_id`` so fused members chain through the node
+        that subsumed them."""
         extra: Set[int] = set()
         for req in record.requirements:
             if req.privilege is not Privilege.REDUCE:
@@ -474,7 +504,7 @@ class ThreadedExecutor(TaskExecutor):
                 tail[req.subset.uid] = (req.subset, node_id)
         return extra
 
-    # -- scheduling --------------------------------------------------------
+    # -- submission --------------------------------------------------------
 
     def submit(
         self,
@@ -484,9 +514,8 @@ class ThreadedExecutor(TaskExecutor):
         deps: Set[int],
         invocation: Optional[TaskInvocation] = None,
     ) -> None:
-        node = _Node(record.task_id, record.name, thunk, on_done)
-        self.n_dispatched += 1
-        self._submit_node(node, [(record, deps)])
+        node = _Node(record.task_id, record.name, [(record, thunk, on_done, invocation)])
+        self._submit_node(node, [deps])
 
     def submit_fused(
         self,
@@ -497,39 +526,29 @@ class ThreadedExecutor(TaskExecutor):
     ) -> None:
         """One scheduling unit for a plan-fused group: the member bodies
         (and their completions) run back-to-back in launch order inside
-        a single claimed node, so one dispatch / one GIL round-trip does
-        the NumPy work of the whole chain, bitwise identically."""
-        records = [p[0] for p in parts]
-
-        def fused_thunk() -> None:
-            for _record, thunk, on_done, _deps in parts:
-                on_done(thunk())
-
+        a single claimed node, so one dispatch does the work of the
+        whole chain, bitwise identically."""
+        if invocations is None:
+            invocations = [None] * len(parts)
         node = _Node(
-            records[0].task_id,
-            fused_label(tuple(r.name for r in records)),
-            fused_thunk,
-            lambda _value: None,
+            parts[0][0].task_id,
+            fused_label(tuple(p[0].name for p in parts)),
+            [(r, t, d, inv) for (r, t, d, _deps), inv in zip(parts, invocations)],
         )
-        node.members = records
-        self.n_dispatched += len(parts)
         self.n_fused_groups += 1
         self.n_fused_members += len(parts)
-        self._submit_node(node, [(p[0], p[3]) for p in parts])
+        self._submit_node(node, [p[3] for p in parts])
 
-    def _submit_node(
-        self, node: _Node, record_deps: Sequence[Tuple[TaskRecord, Set[int]]]
-    ) -> None:
-        member_ids = (
-            {r.task_id for r in node.members} if node.members is not None else set()
-        )
+    def _submit_node(self, node: _Node, deps_per_part: Sequence[Set[int]]) -> None:
+        members = node.member_ids
         with self._lock:
             wanted: Set[int] = set()
-            for record, deps in record_deps:
-                wanted |= set(deps) | self._reduction_edges(record, node.task_id)
+            for part, deps in zip(node.parts, deps_per_part):
+                wanted.update(deps)
+                wanted |= self._reduction_edges(part[0], node.task_id)
             for dep in wanted:
                 dep = self._alias.get(dep, dep)
-                if dep == node.task_id or dep in member_ids or dep in self._completed:
+                if dep in members or dep in self._completed:
                     continue
                 parent = self._pending.get(dep)
                 if parent is None:
@@ -539,7 +558,7 @@ class ThreadedExecutor(TaskExecutor):
                 node.waiting_on.add(dep)
                 parent.dependents.append(node.task_id)
             self._pending[node.task_id] = node
-            for record, _deps in record_deps:
+            for record, _thunk, _on_done, _inv in node.parts:
                 if record.task_id != node.task_id:
                     self._alias[record.task_id] = node.task_id
                 if record.future_uid is not None:
@@ -556,54 +575,70 @@ class ThreadedExecutor(TaskExecutor):
                     node.task_id, node.name, len(self._pending), len(self._ready)
                 )
         if ready:
-            self._pool.submit(self._worker_tick)
+            self._schedule()
+
+    # -- execution ---------------------------------------------------------
 
     def _claim_locked(self, task_id: Optional[int] = None) -> Optional[_Node]:
-        """Claim one ready task (``task_id`` if given and ready, else the
+        """Claim one ready node (``task_id`` if given and ready, else the
         oldest ready one).  Caller holds the lock."""
         if task_id is not None:
             node = self._pending.get(task_id)
-            if node is None or node.claimed or node.waiting_on:
-                task_id = None
-            else:
+            if node is not None and not node.claimed and not node.waiting_on:
                 self._ready.remove(task_id)
                 node.claimed = True
                 return node
         while self._ready:
-            tid = self._ready.pop(0)
-            node = self._pending.get(tid)
+            node = self._pending.get(self._ready.popleft())
             if node is not None and not node.claimed:
                 node.claimed = True
                 return node
         return None
 
-    def _worker_tick(self) -> None:
-        """Pool entry point: claim and run one ready task, if any."""
+    def _claim_and_run(self) -> None:
+        """Claim the oldest ready node, if any, and run it."""
         with self._lock:
             node = self._claim_locked()
         if node is not None:
-            self._execute(node)
+            self._run(node)
 
-    def _execute(self, node: _Node) -> None:
+    def _schedule(self) -> None:
+        """Hook: one more node is ready.  Default: run it (or whichever
+        ready node is oldest) on the calling thread."""
+        self._claim_and_run()
+
+    def _run(self, node: _Node) -> None:
+        """Hook: execute one claimed node, then :meth:`_finish` it."""
+        raise NotImplementedError
+
+    def _run_bodies(self, node: _Node) -> Optional[BaseException]:
+        """Run a node's bodies in this thread, in launch order, stopping
+        at the first that raises (returned, re-raised at drain).  The
+        current-task marker lets a body that blocks on a future of its
+        own descendant be diagnosed instead of hanging."""
         token = getattr(_current_task, "task_id", None)
         _current_task.task_id = node.task_id
-        probe = self.probe
-        if probe is not None:
-            probe.task_started(node.task_id, threading.current_thread().name)
-        error: Optional[BaseException] = None
         try:
-            node.on_done(node.thunk())
+            for _record, thunk, on_done, _inv in node.parts:
+                on_done(thunk())
         except BaseException as exc:  # noqa: BLE001 - re-raised at drain
-            error = exc
+            return exc
         finally:
             _current_task.task_id = token
-            if probe is not None:
-                probe.task_finished(node.task_id)
+        return None
+
+    def _finish(self, node: _Node, error: Optional[BaseException] = None) -> None:
+        """Commit a claimed node: keep the first error, release its
+        dependents onto the ready deque and schedule each."""
+        probe = self.probe
+        if probe is not None:
+            probe.task_finished(node.task_id)
         n_unblocked = 0
         with self._lock:
-            self._completed.add(node.task_id)
-            if node.members is not None:
-                self._completed.update(r.task_id for r in node.members)
+            for record, _thunk, _on_done, _inv in node.parts:
+                self._completed.add(record.task_id)
+            if self._stalled:
+                self._stalled.difference_update(node.member_ids)
             del self._pending[node.task_id]
             if error is not None and self._first_error is None:
                 self._first_error = error
@@ -617,7 +652,7 @@ class ThreadedExecutor(TaskExecutor):
                     n_unblocked += 1
             self._cond.notify_all()
         for _ in range(n_unblocked):
-            self._pool.submit(self._worker_tick)
+            self._schedule()
 
     # -- blocking ----------------------------------------------------------
 
@@ -636,15 +671,16 @@ class ThreadedExecutor(TaskExecutor):
         return seen
 
     def _stalled_ids(self) -> Set[int]:
-        """Task ids currently inside an injected stall (empty when no
-        fault injector is attached)."""
+        """Task ids currently inside a stall: the backend's own plus
+        those the attached fault injector reports."""
+        ids = set(self._stalled)
         monitor = self.stall_monitor
-        if monitor is None:
-            return set()
-        try:
-            return set(monitor())
-        except Exception:  # pragma: no cover - diagnostics must not raise
-            return set()
+        if monitor is not None:
+            try:
+                ids |= set(monitor())
+            except Exception:  # pragma: no cover - diagnostics must not raise
+                pass
+        return ids
 
     def _task_label_locked(
         self, task_id: Optional[int], stalled: "frozenset[int] | Set[int]" = frozenset()
@@ -659,6 +695,24 @@ class ThreadedExecutor(TaskExecutor):
             label += " [fault-stalled]"
         return label
 
+    def _dump_entry_locked(self, node: _Node) -> Dict[str, object]:
+        """One node of the blocked-subgraph dump (backends may add keys)."""
+        entry: Dict[str, object] = {
+            "task_id": node.task_id,
+            "name": node.name,
+            "claimed": node.claimed,
+            "ready": node.task_id in self._ready,
+            "waiting_on": sorted(node.waiting_on),
+            "dependents": sorted(node.dependents),
+        }
+        if len(node.parts) > 1:
+            # Fusion must not cost debuggability: list which original
+            # tasks this fused node contains.
+            entry["fused"] = [
+                {"task_id": r.task_id, "name": r.name} for r, _t, _d, _i in node.parts
+            ]
+        return entry
+
     def _dump_blocked_locked(self, closure: Set[int], reason: str) -> str:
         """Write a JSON snapshot of the blocked pending subgraph to a
         temporary file for post-mortem diagnosis; returns a message
@@ -667,28 +721,14 @@ class ThreadedExecutor(TaskExecutor):
         probe = self.probe
         if probe is not None:
             probe.deadlock()
-        nodes = []
-        for tid in sorted(closure):
-            node = self._pending.get(tid)
-            if node is None:
-                continue
-            entry = {
-                "task_id": node.task_id,
-                "name": node.name,
-                "claimed": node.claimed,
-                "ready": tid in self._ready,
-                "waiting_on": sorted(node.waiting_on),
-                "dependents": sorted(node.dependents),
-            }
-            if node.members is not None:
-                # Fusion must not cost debuggability: list which original
-                # tasks this fused node contains.
-                entry["fused"] = [
-                    {"task_id": r.task_id, "name": r.name} for r in node.members
-                ]
-            nodes.append(entry)
+        nodes = [
+            self._dump_entry_locked(self._pending[tid])
+            for tid in sorted(closure)
+            if tid in self._pending
+        ]
         payload: Dict[str, object] = {
             "schema": "repro-deadlock/1",
+            "backend": self.name,
             "reason": reason,
             "n_pending_total": len(self._pending),
             "stalled_task_ids": sorted(self._stalled_ids()),
@@ -725,16 +765,25 @@ class ThreadedExecutor(TaskExecutor):
     def _check_stuck_locked(self, task_id: int, waiting_for: Optional[str] = None) -> None:
         """Raise :class:`DeadlockError` if ``task_id`` can never complete.
         Called with the lock held, only when the waiter found nothing to
-        help with; a closure containing a claimed (executing) task is
-        presumed to be making progress.  ``waiting_for`` names what the
-        blocked wait is for (e.g. ``"future #12"``) so the error
+        help with; a closure containing a claimed (executing or shipped)
+        task is presumed to be making progress.  ``waiting_for`` names
+        what the blocked wait is for (e.g. ``"future #12"``) so the error
         identifies the unsatisfiable wait, not just the stuck tasks."""
         waiter = getattr(_current_task, "task_id", None)
         closure = self._closure_locked(task_id)
+        through_waiter = waiter is not None and waiter in closure and waiter != task_id
+        if not through_waiter:
+            for tid in closure:
+                node = self._pending.get(tid)
+                if node is not None and node.claimed:
+                    return  # a body in the closure is executing right now
+            if any(tid in self._ready for tid in closure):
+                return  # ready work exists; the waiter will claim it next
+        # The wait can never be satisfied: diagnose it.
         where = f" while blocking on {waiting_for}" if waiting_for else ""
         stalled = self._stalled_ids()
         note = self._stall_note(stalled)
-        if waiter is not None and waiter in closure and waiter != task_id:
+        if through_waiter:
             dump = self._dump_blocked_locked(closure, "cycle-through-waiter")
             raise DeadlockError(
                 f"task {self._task_label_locked(waiter, stalled)} blocks on task "
@@ -742,12 +791,6 @@ class ThreadedExecutor(TaskExecutor):
                 f"depends on task {waiter} itself — dependence cycle through a "
                 f"blocking future read{note}{dump}"
             )
-        for tid in closure:
-            node = self._pending.get(tid)
-            if node is not None and node.claimed:
-                return  # a body in the closure is executing right now
-        if any(tid in self._ready for tid in closure):
-            return  # ready work exists; the waiter will claim it next
         for tid in sorted(closure):
             node = self._pending.get(tid)
             if node is None or not node.waiting_on:
@@ -777,6 +820,11 @@ class ThreadedExecutor(TaskExecutor):
             f"no task in the closure can ever become ready{note}{dump}"
         )
 
+    def _check_workers_locked(self) -> None:
+        """Hook: raise when in-flight work can never complete (the
+        process-pool backend's dead-worker check).  Caller holds the
+        lock, and has found nothing to help with."""
+
     def _raise_if_failed_locked(self) -> None:
         if self._first_error is not None:
             exc = self._first_error
@@ -802,6 +850,7 @@ class ThreadedExecutor(TaskExecutor):
                     return
                 node = self._claim_locked(target())
                 if node is None:
+                    self._check_workers_locked()
                     tid = target()
                     if tid is None and self._pending:
                         tid = next(iter(self._pending))
@@ -809,7 +858,7 @@ class ThreadedExecutor(TaskExecutor):
                         self._check_stuck_locked(tid, waiting_for)
                     self._cond.wait(timeout=0.1)
                     continue
-            self._execute(node)
+            self._run(node)
 
     def wait_for_future(self, future_uid: int) -> None:
         with self._lock:
@@ -829,6 +878,33 @@ class ThreadedExecutor(TaskExecutor):
         self._wait_until(
             lambda: not self._pending, lambda: None, waiting_for="drain/fence"
         )
+
+
+class ThreadedExecutor(DependenceScheduler):
+    """Dependence-driven thread-pool scheduler with helping waiters."""
+
+    name = "threads"
+
+    def __init__(self, n_workers: Optional[int] = None):
+        super().__init__(n_workers)
+        self._pool = ThreadPoolExecutor(
+            max_workers=self._n_workers, thread_name_prefix="repro-exec"
+        )
+
+    def _submit_node(self, node: _Node, deps_per_part: Sequence[Set[int]]) -> None:
+        # Every submitted body is dispatched onto the pool; submission
+        # happens on the application thread only.
+        self.n_dispatched += len(node.parts)
+        super()._submit_node(node, deps_per_part)
+
+    def _schedule(self) -> None:
+        self._pool.submit(self._claim_and_run)
+
+    def _run(self, node: _Node) -> None:
+        probe = self.probe
+        if probe is not None:
+            probe.task_started(node.task_id, threading.current_thread().name)
+        self._finish(node, self._run_bodies(node))
 
     def shutdown(self) -> None:
         self._pool.shutdown(wait=True)

@@ -22,15 +22,16 @@ serial.  This backend sidesteps the interpreter entirely:
 * **Ownership pinning** — each task is dispatched to the worker that
   owns its piece (``owner_hint % n_workers``, the MSREP per-device
   ownership model), so a piece's pages stay hot in one worker's cache.
-* **The commit path is unchanged** — the parent runs the same
-  dependence-driven scheduler as
-  :class:`~repro.runtime.executor.ThreadedExecutor`, including the
-  launch-order serialization of same-redop overlapping reductions, and
-  completions release dependents exactly as under threads.  Host tasks
-  (future reductions) and non-portable bodies run in the parent against
-  the same shared pages; :meth:`ProcPoolExecutor.stats` counts them
-  separately (the equivalence matrix asserts the fallback count stays
-  zero).
+* **The commit path is unchanged** — :class:`ProcPoolExecutor` is a
+  subclass of :class:`~repro.runtime.executor.DependenceScheduler`, the
+  scheduler :class:`~repro.runtime.executor.ThreadedExecutor` runs on,
+  so dependence tracking, launch-order serialization of same-redop
+  overlapping reductions, dependent release, helping waits and deadlock
+  diagnosis are the same code.  This module only decides how a claimed
+  node runs: shipped to its pinned worker, or in the parent for host
+  tasks (future reductions) and non-portable bodies, against the same
+  shared pages; :meth:`ProcPoolExecutor.stats` counts those separately
+  (the equivalence matrix asserts the fallback count stays zero).
 
 Workers are expensive to spawn (a fresh interpreter imports NumPy and
 the library), so pools are *persistent*: a module-level registry keyed
@@ -42,10 +43,7 @@ from __future__ import annotations
 
 import atexit
 import itertools
-import json
-import os
 import pickle
-import tempfile
 import threading
 import time
 import weakref
@@ -55,9 +53,9 @@ import multiprocessing as mp
 import numpy as np
 from multiprocessing import shared_memory
 
-from .executor import DeadlockError, ExecutorError, TaskExecutor
-from .kernels import KERNEL_REGISTRY, TaskInvocation, fused_label
-from .region import LogicalRegion, Privilege, RegionStore
+from .executor import DependenceScheduler, ExecutorError, _Node
+from .kernels import KERNEL_REGISTRY, TaskInvocation
+from .region import LogicalRegion, RegionStore
 from .task import TaskRecord
 
 __all__ = ["ProcPoolExecutor", "SharedRegionStore", "shutdown_worker_pools"]
@@ -444,49 +442,23 @@ atexit.register(shutdown_worker_pools)
 # ---------------------------------------------------------------------------
 
 
-class _ProcNode:
-    """Scheduler state for one deferred task (or fused task group)."""
+class _Directives:
+    """Fault events deposited for one node, translated into its dispatch
+    behaviour (a wrapper closure cannot cross the process boundary)."""
 
-    __slots__ = (
-        "task_id",
-        "name",
-        "parts",
-        "waiting_on",
-        "dependents",
-        "claimed",
-        "stall_ms",
-        "stall_events",
-        "corrupt_events",
-        "injector",
-    )
+    __slots__ = ("injector", "stall_ms", "stall_events", "corrupt_events")
 
-    def __init__(self, task_id: int, name: str, parts: List[Tuple]) -> None:
-        self.task_id = task_id
-        self.name = name
-        #: ``[(record, thunk, on_done, invocation), ...]`` — one entry
-        #: for a plain task, several for a fused group (run in order).
-        self.parts = parts
-        self.waiting_on: Set[int] = set()
-        self.dependents: List[int] = []
-        self.claimed = False
+    def __init__(self, injector: Any) -> None:
+        self.injector = injector
         self.stall_ms = 0.0
         #: ``(record, event)`` pairs applied around dispatch/completion.
-        self.stall_events: List[Tuple] = []
-        self.corrupt_events: List[Tuple] = []
-        self.injector: Any = None
-
-    @property
-    def member_ids(self) -> List[int]:
-        return [record.task_id for record, _, _, _ in self.parts]
-
-    @property
-    def portable(self) -> bool:
-        return all(inv is not None for _, _, _, inv in self.parts)
+        self.stall_events: List[Tuple[TaskRecord, Any]] = []
+        self.corrupt_events: List[Tuple[TaskRecord, Any]] = []
 
 
-class ProcPoolExecutor(TaskExecutor):
-    """Dependence-driven scheduler dispatching portable task bodies to a
-    persistent pool of worker processes over shared-memory regions."""
+class ProcPoolExecutor(DependenceScheduler):
+    """The shared dependence scheduler, dispatching portable task bodies
+    to a persistent pool of worker processes over shared-memory regions."""
 
     name = "procs"
 
@@ -499,24 +471,13 @@ class ProcPoolExecutor(TaskExecutor):
         n_workers: Optional[int] = None,
         store: Optional[RegionStore] = None,
     ):
-        if n_workers is None:
-            n_workers = os.cpu_count() or 1
-        self._n_workers = max(1, int(n_workers))
+        super().__init__(n_workers)
         self.store = store
         self._pool = _get_pool(self._n_workers)
         self._epoch = next(_epoch_counter)
         self._pool.register(self._epoch, self._on_result)
-        self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
-        self._pending: Dict[int, _ProcNode] = {}
+        #: Node ids shipped to a worker whose result has not come back.
         self._inflight: Set[int] = set()
-        self._completed: Set[int] = set()
-        self._by_future: Dict[int, int] = {}
-        #: Fused-member task id -> owning node id.
-        self._alias: Dict[int, int] = {}
-        self._first_error: Optional[BaseException] = None
-        self._reduce_tail: Dict[Tuple[int, str], Dict[int, Tuple[object, int]]] = {}
-        self._disjoint: Dict[Tuple[int, int], bool] = {}
         self._shutdown = False
         # Per-worker shipping caches — what each worker has already been
         # sent — guarded by a per-worker dispatch lock so the
@@ -531,8 +492,6 @@ class ProcPoolExecutor(TaskExecutor):
         #: (a wrapper closure cannot cross the process boundary):
         #: ``task_id -> (events, injector)``.
         self.fault_directives: Dict[int, Tuple[List[Any], Any]] = {}
-        self._stalled: Set[int] = set()
-        self.stall_monitor: Optional[Callable[[], Set[int]]] = None
         #: Set by the runtime when the attached compiled plan carries a
         #: static portability certificate: every requirement-bearing
         #: body was proven shippable, so a silent inline fallback would
@@ -540,113 +499,20 @@ class ProcPoolExecutor(TaskExecutor):
         #: tasks (no region requirements) stay inline; the certificate
         #: exempts them explicitly.
         self.strict_portable = False
-        # Dispatch statistics (surfaced via Runtime.dispatch_stats()).
-        self.n_dispatched = 0
+        # Dispatch statistics beyond the shared ones; updated under the
+        # executor lock (the application and collector threads both
+        # dispatch).
         self.n_inline_host = 0
         self.n_inline_fallback = 0
-        self.n_fused_groups = 0
-        self.n_fused_members = 0
-
-    @property
-    def n_parallel(self) -> int:
-        return self._n_workers
-
-    # -- dependence augmentation (same rule as ThreadedExecutor) ----------
-
-    def _overlaps(self, a: Any, b: Any) -> bool:
-        if a.uid == b.uid:
-            return True
-        key = (a.uid, b.uid) if a.uid < b.uid else (b.uid, a.uid)
-        hit = self._disjoint.get(key)
-        if hit is None:
-            hit = a.is_disjoint_from(b)
-            self._disjoint[key] = hit
-        return not hit
-
-    def _reduction_edges(self, record: TaskRecord, node_id: int) -> Set[int]:
-        """Same-redop reductions on overlapping subsets are serialized
-        in launch order (see ``ThreadedExecutor._reduction_edges``); the
-        tail records the *node* id so fused members chain through their
-        group."""
-        extra: Set[int] = set()
-        for req in record.requirements:
-            if req.privilege is not Privilege.REDUCE:
-                continue
-            for fname in req.fields:
-                tail = self._reduce_tail.setdefault((req.region.uid, fname), {})
-                for _uid, (subset, tid) in tail.items():
-                    if self._overlaps(req.subset, subset):
-                        extra.add(tid)
-                tail[req.subset.uid] = (req.subset, node_id)
-        return extra
-
-    # -- submission -------------------------------------------------------
-
-    def submit(
-        self,
-        record: TaskRecord,
-        thunk: Callable[[], object],
-        on_done: Callable[[object], None],
-        deps: Set[int],
-        invocation: Optional[TaskInvocation] = None,
-    ) -> None:
-        self._submit_node(
-            _ProcNode(record.task_id, record.name, [(record, thunk, on_done, invocation)]),
-            [deps],
-        )
-
-    def submit_fused(
-        self,
-        parts: Sequence[Tuple[TaskRecord, Callable[[], object], Callable[[object], None], Set[int]]],
-        invocations: Optional[Sequence[Optional[TaskInvocation]]] = None,
-    ) -> None:
-        if invocations is None:
-            invocations = [None] * len(parts)
-        records = [p[0] for p in parts]
-        node = _ProcNode(
-            records[0].task_id,
-            fused_label(tuple(r.name for r in records)),
-            [(r, t, d, inv) for (r, t, d, _), inv in zip(parts, invocations)],
-        )
-        self.n_fused_groups += 1
-        self.n_fused_members += len(parts)
-        self._submit_node(node, [p[3] for p in parts])
-
-    def _submit_node(self, node: _ProcNode, deps_per_part: List[Set[int]]) -> None:
-        member_ids = set(node.member_ids)
-        self._apply_directives(node)
-        with self._lock:
-            wanted: Set[int] = set()
-            for (record, _, _, _), deps in zip(node.parts, deps_per_part):
-                wanted |= set(deps) | self._reduction_edges(record, node.task_id)
-            for dep in wanted:
-                dep = self._alias.get(dep, dep)
-                if dep in member_ids or dep in self._completed:
-                    continue
-                parent = self._pending.get(dep)
-                if parent is None:
-                    continue  # pre-attach or purely simulated: complete
-                node.waiting_on.add(dep)
-                parent.dependents.append(node.task_id)
-            self._pending[node.task_id] = node
-            for mid in node.member_ids:
-                if mid != node.task_id:
-                    self._alias[mid] = node.task_id
-            for record, _, _, _ in node.parts:
-                if record.future_uid is not None:
-                    self._by_future[record.future_uid] = node.task_id
-            ready = not node.waiting_on
-            probe = self.probe
-            if probe is not None:
-                probe.task_submitted(
-                    node.task_id, node.name, len(self._pending), 1 if ready else 0
-                )
-        if ready:
-            self._dispatch(node)
 
     # -- fault directives -------------------------------------------------
 
-    def _apply_directives(self, node: _ProcNode) -> None:
+    def _submit_node(self, node: _Node, deps_per_part: Sequence[Set[int]]) -> None:
+        if self.fault_directives:
+            self._apply_directives(node)
+        super()._submit_node(node, deps_per_part)
+
+    def _apply_directives(self, node: _Node) -> None:
         """Translate deposited fault events into the node's dispatch
         behaviour (the injector cannot wrap thunks that never run in
         this process)."""
@@ -655,7 +521,9 @@ class ProcPoolExecutor(TaskExecutor):
             if deposit is None:
                 continue
             events, injector = deposit
-            node.injector = injector
+            if node.directives is None:
+                node.directives = _Directives(injector)
+            directives = node.directives
             crashes = [e for e in events if e.kind == "crash"]
             if crashes and not injector.plan.retry_crashes:
                 # A fatal crash must interrupt the body stream exactly
@@ -678,14 +546,14 @@ class ProcPoolExecutor(TaskExecutor):
                 event.detail = "task body lost once, relaunched"
             for event in events:
                 if event.kind == "stall":
-                    node.stall_ms += event.spec.stall_ms
-                    node.stall_events.append((record, event))
+                    directives.stall_ms += event.spec.stall_ms
+                    directives.stall_events.append((record, event))
                 elif event.kind == "corrupt":
-                    node.corrupt_events.append((record, event))
+                    directives.corrupt_events.append((record, event))
 
     # -- dispatch ---------------------------------------------------------
 
-    def _worker_for(self, node: _ProcNode) -> int:
+    def _worker_for(self, node: _Node) -> int:
         hint = node.parts[0][0].owner_hint
         return (hint or 0) % self._n_workers
 
@@ -744,45 +612,41 @@ class ProcPoolExecutor(TaskExecutor):
             "payload": payload,
         }
 
-    def _dispatch(self, node: _ProcNode) -> None:
-        """Send a ready node to its pinned worker, or run it in-parent
+    def _run(self, node: _Node) -> None:
+        """Send a claimed node to its pinned worker, or run it in-parent
         (host tasks, non-portable bodies)."""
-        with self._lock:
-            if node.claimed:
-                return
-            node.claimed = True
         if self._shutdown or not node.portable:
-            if (
-                self.strict_portable
-                and not self._shutdown
-                and any(r.requirements for r, _, _, _ in node.parts)
-            ):
-                self._fail_portability(
-                    node, "body is not a portable registry kernel"
-                )
+            has_reqs = any(part[0].requirements for part in node.parts)
+            if self.strict_portable and not self._shutdown and has_reqs:
+                self._fail_portability(node, "body is not a portable registry kernel")
                 return
-            self._execute_inline(node)
+            self._execute_inline(node, fallback=has_reqs)
             return
         widx = self._worker_for(node)
+        stall_ms = node.directives.stall_ms if node.directives is not None else 0.0
         sent = False
         send_exc: Optional[BaseException] = None
         # The per-worker dispatch lock makes build -> send -> commit-marks
         # atomic.  Body execution and completion must happen OUTSIDE it:
         # an inline completion can release a child pinned to the same
-        # worker, and re-entering _dispatch while the (non-reentrant)
-        # lock is held would self-deadlock.
+        # worker, and re-entering _run while the (non-reentrant) lock is
+        # held would self-deadlock.
         with self._dispatch_locks[widx]:
             new_subsets: Set[int] = set()
             new_payloads: Set[int] = set()
             parts = []
             for record, _, _, inv in node.parts:
+                assert inv is not None  # node.portable
                 part = self._part_message(record, inv, widx, new_subsets, new_payloads)
                 if part is None:
                     break
                 parts.append(part)
             if len(parts) == len(node.parts):
-                if node.stall_ms:
-                    with self._lock:
+                # Marked in flight before the send: the result may come
+                # back before this thread runs again.
+                with self._lock:
+                    self._inflight.add(node.task_id)
+                    if stall_ms:
                         self._stalled.update(node.member_ids)
                 probe = self.probe
                 want_spans = False
@@ -792,14 +656,7 @@ class ProcPoolExecutor(TaskExecutor):
                 try:
                     self._pool.send(
                         widx,
-                        (
-                            "task",
-                            self._epoch,
-                            node.task_id,
-                            node.stall_ms,
-                            parts,
-                            want_spans,
-                        ),
+                        ("task", self._epoch, node.task_id, stall_ms, parts, want_spans),
                     )
                 except (pickle.PicklingError, TypeError, AttributeError):
                     pass  # unpicklable body/payload: fall back below
@@ -809,81 +666,71 @@ class ProcPoolExecutor(TaskExecutor):
                     sent = True
                     self._sent_subsets[widx] |= new_subsets
                     self._sent_payloads[widx] |= new_payloads
-        if sent:
-            self.n_dispatched += len(node.parts)
-            with self._lock:
-                self._inflight.add(node.task_id)
-                self._cond.notify_all()
-            return
+        with self._lock:
+            if sent:
+                self.n_dispatched += len(node.parts)
+                return
+            self._inflight.discard(node.task_id)
         if send_exc is not None:
-            with self._lock:
-                if self._first_error is None:
-                    self._first_error = send_exc
-            self._complete(node, error=True)
-            return
-        if self.strict_portable:
+            self._finish(node, send_exc)
+        elif self.strict_portable:
             self._fail_portability(node, "payload failed to ship to a worker")
-            return
-        self.n_inline_fallback += len(node.parts)
-        self._execute_inline(node, counted=True)
+        else:
+            self._execute_inline(node, fallback=True)
 
-    def _fail_portability(self, node: _ProcNode, why: str) -> None:
+    def _fail_portability(self, node: _Node, why: str) -> None:
         """Strict-portability violation: the plan's certificate promised
         this could not happen, so surface it at drain instead of falling
         back inline silently."""
-        with self._lock:
-            if self._first_error is None:
-                self._first_error = RuntimeError(
-                    f"strict portability violated by task {node.task_id} "
-                    f"({node.name}): {why}, yet the attached plan carries "
-                    "a portability certificate"
-                )
-        self._complete(node, error=True)
+        self._finish(
+            node,
+            RuntimeError(
+                f"strict portability violated by task {node.task_id} "
+                f"({node.name}): {why}, yet the attached plan carries "
+                "a portability certificate"
+            ),
+        )
 
-    def _execute_inline(self, node: _ProcNode, counted: bool = False) -> None:
-        """Run a node's bodies in the parent (host tasks and fallbacks);
-        they operate on the same shared pages the workers see."""
+    def _execute_inline(self, node: _Node, fallback: bool) -> None:
+        """Run a node's bodies in the parent (host tasks, and fallbacks
+        of requirement-bearing bodies that could not ship); they operate
+        on the same shared pages the workers see."""
         probe = self.probe
         if probe is not None:
             probe.task_started(node.task_id, threading.current_thread().name)
-        if not counted:
-            if any(r.requirements for r, _, _, _ in node.parts):
+        stall_ms = node.directives.stall_ms if node.directives is not None else 0.0
+        with self._lock:
+            if fallback:
                 self.n_inline_fallback += len(node.parts)
             else:
                 self.n_inline_host += len(node.parts)
-        if node.stall_ms:
-            with self._lock:
+            if stall_ms:
                 self._stalled.update(node.member_ids)
-            time.sleep(node.stall_ms / 1000.0)
-        error = False
-        for record, thunk, on_done, _ in node.parts:
-            try:
-                on_done(thunk())
-            except BaseException as exc:  # noqa: BLE001 - re-raised at drain
-                with self._lock:
-                    if self._first_error is None:
-                        self._first_error = exc
-                error = True
-                break
-        if not error:
+        if stall_ms:
+            time.sleep(stall_ms / 1000.0)
+        error = self._run_bodies(node)
+        if error is None:
             self._apply_completion_events(node)
-        self._complete(node, error=error)
+        self._finish(node, error)
 
     # -- completion -------------------------------------------------------
 
-    def _apply_completion_events(self, node: _ProcNode) -> None:
-        for _record, event in node.stall_events:
+    def _apply_completion_events(self, node: _Node) -> None:
+        directives = node.directives
+        if directives is None:
+            return
+        for _record, event in directives.stall_events:
             event.applied = True
             event.detected = True
             event.detected_by = "injector"
             event.recovered = True
             event.recovery = "completed"
             event.detail = f"completed {event.spec.stall_ms:g}ms late"
-        for record, event in node.corrupt_events:
+        for record, event in directives.corrupt_events:
             # Poison the written subset *before* any dependent is
             # released — the shared pages make the damage visible to
             # parent and workers alike.
-            node.injector._corrupt(record, event)
+            directives.injector._corrupt(record, event)
 
     def _on_result(
         self, task_id: int, ok: bool, payload: Any, body_s: Optional[float] = None
@@ -891,238 +738,50 @@ class ProcPoolExecutor(TaskExecutor):
         """Collector-thread entry: one worker finished a node."""
         with self._lock:
             node = self._pending.get(task_id)
+            self._inflight.discard(task_id)
         if node is None:  # pragma: no cover - late result after shutdown
             return
         probe = self.probe
         if probe is not None and body_s is not None:
             # The worker's span batch rode back with the result message.
             probe.task_body_batch(task_id, "", float(body_s), len(node.parts))
+        error: Optional[BaseException] = None
         if ok:
-            for (record, _, on_done, _), value in zip(node.parts, payload):
+            for (_record, _thunk, on_done, _inv), value in zip(node.parts, payload):
                 try:
                     on_done(value)
-                except BaseException as exc:  # noqa: BLE001
-                    with self._lock:
-                        if self._first_error is None:
-                            self._first_error = exc
+                except BaseException as exc:  # noqa: BLE001 - re-raised at drain
+                    if error is None:
+                        error = exc
             self._apply_completion_events(node)
         else:
-            with self._lock:
-                if self._first_error is None:
-                    self._first_error = payload
-        self._complete(node, error=not ok)
-
-    def _complete(self, node: _ProcNode, error: bool = False) -> None:
-        probe = self.probe
-        if probe is not None:
-            probe.task_finished(node.task_id)
-        unblocked: List[_ProcNode] = []
-        with self._lock:
-            self._inflight.discard(node.task_id)
-            self._stalled.difference_update(node.member_ids)
-            self._completed.add(node.task_id)
-            self._completed.update(node.member_ids)
-            self._pending.pop(node.task_id, None)
-            for dep_id in node.dependents:
-                child = self._pending.get(dep_id)
-                if child is None or node.task_id not in child.waiting_on:
-                    continue
-                child.waiting_on.discard(node.task_id)
-                if not child.waiting_on and not child.claimed:
-                    unblocked.append(child)
-            self._cond.notify_all()
-        for child in unblocked:
-            self._dispatch(child)
+            error = payload
+        self._finish(node, error)
 
     # -- blocking / deadlock diagnostics ----------------------------------
 
-    def _stalled_ids_locked(self) -> Set[int]:
-        ids: Set[int] = set(self._stalled)
-        monitor = self.stall_monitor
-        if monitor is not None:
-            try:
-                ids |= set(monitor())
-            except Exception:  # pragma: no cover - diagnostics must not raise
-                pass
-        return ids
-
-    def _closure_locked(self, task_id: int) -> Set[int]:
-        seen: Set[int] = set()
-        stack = [task_id]
-        while stack:
-            tid = stack.pop()
-            if tid in seen:
-                continue
-            seen.add(tid)
-            node = self._pending.get(tid)
-            if node is not None:
-                stack.extend(node.waiting_on)
-        return seen
-
-    def _dump_blocked_locked(self, closure: Set[int], reason: str) -> str:
-        probe = self.probe
-        if probe is not None:
-            probe.deadlock()
-        nodes = []
-        for tid in sorted(closure):
-            node = self._pending.get(tid)
-            if node is None:
-                continue
-            entry = {
-                "task_id": node.task_id,
-                "name": node.name,
-                "claimed": node.claimed,
-                "inflight": tid in self._inflight,
-                "waiting_on": sorted(node.waiting_on),
-                "dependents": sorted(node.dependents),
-            }
-            if len(node.parts) > 1:
-                entry["fused"] = [
-                    {"task_id": r.task_id, "name": r.name} for r, _, _, _ in node.parts
-                ]
-            nodes.append(entry)
-        payload: Dict[str, object] = {
-            "schema": "repro-deadlock/1",
-            "backend": "procs",
-            "reason": reason,
-            "n_pending_total": len(self._pending),
-            "stalled_task_ids": sorted(self._stalled_ids_locked()),
-            "blocked_subgraph": nodes,
-        }
-        if probe is not None:
-            try:
-                flight = probe.flight_bundle(f"deadlock:{reason}")
-            except Exception:  # pragma: no cover - post-mortem best-effort
-                flight = None
-            if flight is not None:
-                payload["flight"] = flight
-        try:
-            fd, path = tempfile.mkstemp(prefix="repro-deadlock-", suffix=".json")
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2)
-        except OSError:  # pragma: no cover - the dump is best-effort
-            return ""
-        return f"; blocked-subgraph trace written to {path}"
-
-    def _check_stuck_locked(self, task_id: int, waiting_for: Optional[str]) -> None:
-        """With nothing in flight, nothing ready, and pending tasks left,
-        the wait can never finish: diagnose missing producers vs cycles
-        (mirrors ``ThreadedExecutor._check_stuck_locked``)."""
-        closure = self._closure_locked(task_id)
-        for tid in closure:
-            node = self._pending.get(tid)
-            if node is not None and node.claimed:
-                return  # a body in the closure is executing right now
-        where = f" while blocking on {waiting_for}" if waiting_for else ""
-        for tid in sorted(closure):
-            node = self._pending.get(tid)
-            if node is None or not node.waiting_on:
-                continue
-            missing = [
-                d for d in node.waiting_on
-                if d not in self._pending and d not in self._completed
-            ]
-            if missing:
-                blocked = ", ".join(
-                    f"{t} ({self._pending[t].name})"
-                    for t in sorted(closure & set(self._pending))
-                )
-                dump = self._dump_blocked_locked(closure, "missing-producer")
-                raise DeadlockError(
-                    f"task {tid} ({node.name}) waits on task(s) {sorted(missing)} "
-                    f"that were never submitted and can never complete{where}; "
-                    f"blocked tasks: [{blocked}]{dump}"
-                )
-        cycle = ", ".join(
-            f"{t} ({self._pending[t].name})"
-            for t in sorted(closure & set(self._pending))
-        )
-        dump = self._dump_blocked_locked(closure, "dependence-cycle")
-        raise DeadlockError(
-            f"dependence cycle among pending tasks [{cycle}]{where}; "
-            f"no task in the closure can ever become ready{dump}"
-        )
-
-    def _raise_if_failed_locked(self) -> None:
-        if self._first_error is not None:
-            exc = self._first_error
-            self._first_error = None
+    def _check_workers_locked(self) -> None:
+        if self._inflight and not self._pool.alive():
+            self._raise_if_failed_locked()
+            dead = sorted(self._inflight)
             raise ExecutorError(
-                f"a deferred task body raised {type(exc).__name__}: {exc}"
-            ) from exc
+                f"a pool worker died with task(s) {dead} in "
+                "flight; their results can never arrive"
+            )
 
-    def _wait_until(
-        self,
-        done_locked: Callable[[], bool],
-        target: Callable[[], Optional[int]],
-        waiting_for: Optional[str] = None,
-    ) -> None:
-        """Wait for ``done_locked()``, dispatching any ready-but-unclaimed
-        node found along the way (closes the race between a completion
-        releasing a child and the child's dispatch, and lets a waiting
-        thread help when no worker result is outstanding)."""
-        while True:
-            ready_node: Optional[_ProcNode] = None
-            with self._lock:
-                if done_locked():
-                    self._raise_if_failed_locked()
-                    return
-                for node in self._pending.values():
-                    if not node.waiting_on and not node.claimed:
-                        ready_node = node
-                        break
-                if ready_node is None:
-                    if self._inflight and not self._pool.alive():
-                        self._raise_if_failed_locked()
-                        dead = sorted(self._inflight)
-                        raise ExecutorError(
-                            f"a pool worker died with task(s) {dead} in "
-                            "flight; their results can never arrive"
-                        )
-                    if not self._inflight and not any(
-                        n.claimed for n in self._pending.values()
-                    ):
-                        tid = target()
-                        if tid is None and self._pending:
-                            tid = next(iter(self._pending))
-                        if tid is not None:
-                            self._check_stuck_locked(tid, waiting_for)
-                    self._cond.wait(timeout=0.1)
-            if ready_node is not None:
-                self._dispatch(ready_node)
-
-    def wait_for_future(self, future_uid: int) -> None:
-        with self._lock:
-            task_id = self._by_future.get(future_uid)
-        if task_id is None:
-            return
-        probe = self.probe
-        if probe is not None:
-            probe.future_wait(future_uid)
-        self._wait_until(
-            lambda: task_id not in self._pending,
-            lambda: task_id if task_id in self._pending else None,
-            waiting_for=f"future #{future_uid} (produced by task {task_id})",
-        )
-
-    def drain(self) -> None:
-        self._wait_until(
-            lambda: not self._pending, lambda: None, waiting_for="drain/fence"
-        )
+    def _dump_entry_locked(self, node: _Node) -> Dict[str, object]:
+        entry = super()._dump_entry_locked(node)
+        entry["inflight"] = node.task_id in self._inflight
+        return entry
 
     # -- lifecycle / stats -------------------------------------------------
 
-    def stats(self) -> Dict[str, Any]:
-        return {
-            "backend": self.name,
-            "workers": self._n_workers,
-            "dispatched_tasks": self.n_dispatched,
-            "inline_host_tasks": self.n_inline_host,
-            "inline_fallback_tasks": self.n_inline_fallback,
-            "fused_groups": self.n_fused_groups,
-            "fused_member_tasks": self.n_fused_members,
-            "strict_portable": self.strict_portable,
-        }
+    def stats(self) -> Dict[str, object]:
+        stats = super().stats()
+        stats["inline_host_tasks"] = self.n_inline_host
+        stats["inline_fallback_tasks"] = self.n_inline_fallback
+        stats["strict_portable"] = self.strict_portable
+        return stats
 
     def shutdown(self) -> None:
         if self._shutdown:

@@ -143,6 +143,7 @@ class TestBlockedSubgraphDump:
             with open(path) as fh:
                 dump = json.load(fh)
             assert dump["schema"] == "repro-deadlock/1"
+            assert dump["backend"] == "threads"
             assert dump["reason"]
             assert dump["n_pending_total"] >= 1
             assert dump["blocked_subgraph"]

@@ -9,6 +9,9 @@ a >= 90% line-coverage bar with this file as the primary driver.
 import functools
 import json
 import re
+import sys
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,13 +31,14 @@ from repro.runtime import (
     Subset,
     TaskLauncher,
     TaskRecord,
+    ThreadedExecutor,
 )
+from repro.runtime.executor import _Node
 from repro.runtime.kernels import KernelBody, TaskInvocation, register_kernel
 from repro.runtime.procpool import (
     ProcPoolExecutor,
     SharedRegionStore,
     _picklable_exc,
-    _ProcNode,
     _ShmAccessor,
     _worker_main,
     _WorkerState,
@@ -192,7 +196,7 @@ class TestProcNode:
     def test_member_ids_and_portability(self):
         r1, r2 = make_record("a"), make_record("b")
         inv = TaskInvocation("fill", kwargs={"value": 0.0})
-        node = _ProcNode(r1.task_id, "a", [(r1, None, None, inv), (r2, None, None, inv)])
+        node = _Node(r1.task_id, "a", [(r1, None, None, inv), (r2, None, None, inv)])
         assert node.member_ids == [r1.task_id, r2.task_id]
         assert node.portable
         node.parts[1] = (r2, None, None, None)
@@ -320,6 +324,93 @@ class TestDirectDispatch:
             ex.shutdown()
             store.release()
 
+    def test_unpicklable_payload_under_strict_portability_fails_loudly(self):
+        store = SharedRegionStore()
+        region = make_region(8, fields=("a", "x", "y"))
+        for f in ("a", "x", "y"):
+            store.allocate(region, f)
+        ex = ProcPoolExecutor(n_workers=1, store=store)
+        ex.strict_portable = True
+        try:
+            reqs = [rw_req(region, f) for f in ("a", "x", "y")]
+            rec = make_record("spmv", reqs=reqs)
+            inv = TaskInvocation("spmv_exclusive", payload=lambda v: v, point=0)
+            ex.submit(rec, lambda: pytest.fail("ran inline"), lambda _v: None,
+                      set(), invocation=inv)
+            with pytest.raises(ExecutorError, match="payload failed to ship"):
+                ex.drain()
+            assert ex.n_inline_fallback == 0
+        finally:
+            ex.shutdown()
+            store.release()
+
+    def test_commit_error_after_worker_result_surfaces_at_drain(self):
+        store = SharedRegionStore()
+        region = make_region(8)
+        store.allocate(region, "v")
+        ex = ProcPoolExecutor(n_workers=1, store=store)
+
+        def on_done(_value):
+            raise ValueError("commit failed")
+
+        try:
+            rec = make_record("fill", reqs=[rw_req(region)])
+            inv = TaskInvocation("fill", kwargs={"value": 1.0}, point=0)
+            ex.submit(rec, lambda: None, on_done, set(), invocation=inv)
+            with pytest.raises(ExecutorError, match="commit failed"):
+                ex.drain()
+            assert ex.n_dispatched == 1
+        finally:
+            ex.shutdown()
+            store.release()
+
+    def test_dispatch_counters_survive_concurrent_dispatch(self):
+        # Host children of shipped tasks run on the collector thread
+        # while the application thread runs its own host tasks inline:
+        # both bump the dispatch counters, which a lost update breaks.
+        store = SharedRegionStore()
+        region = make_region(8)
+        store.allocate(region, "v")
+        ex = ProcPoolExecutor(n_workers=2, store=store)
+        n = 150
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for i in range(n):
+                rec = make_record("fill", reqs=[rw_req(region)], owner=i)
+                ex.submit(rec, lambda: None, lambda _v: None, set(),
+                          invocation=TaskInvocation("fill", kwargs={"value": 1.0}, point=i))
+                ex.submit(make_record("host-child"), lambda: None, lambda _v: None,
+                          {rec.task_id})
+                ex.submit(make_record("host"), lambda: None, lambda _v: None, set())
+            waiter = threading.Thread(target=ex.drain, daemon=True)
+            waiter.start()
+            waiter.join(timeout=60)
+            assert not waiter.is_alive()
+            assert ex.n_dispatched == n
+            assert ex.n_inline_host == 2 * n
+            assert ex.n_inline_fallback == 0
+        finally:
+            sys.setswitchinterval(interval)
+            ex.shutdown()
+            store.release()
+
+    def test_stall_directive_on_inline_host_task(self):
+        ex = ProcPoolExecutor(n_workers=1, store=None)
+        got = []
+        try:
+            rec = make_record("host")
+            stall = SimpleNamespace(kind="stall", spec=SimpleNamespace(stall_ms=5.0))
+            ex.fault_directives[rec.task_id] = ([stall], None)
+            ex.submit(rec, lambda: 7, got.append, set())
+            ex.drain()
+            assert got == [7]
+            assert ex.n_inline_host == 1
+            assert stall.detail == "completed 5ms late"
+            assert ex._stalled == set()  # released with the completion
+        finally:
+            ex.shutdown()
+
     def test_plain_store_means_inline_fallback(self):
         # Without a SharedRegionStore nothing can ship: every body with
         # requirements degrades to in-parent execution (and is counted).
@@ -400,43 +491,55 @@ class TestSubmitFused:
             store.release()
 
 
+#: Both deferred backends share one scheduler, so the same hand-built
+#: graph must get the same diagnosis from each.
+DEFERRED_EXECUTORS = {
+    "threads": lambda: ThreadedExecutor(n_workers=1),
+    "procs": lambda: ProcPoolExecutor(n_workers=1, store=None),
+}
+
+
 class TestDeadlockDiagnostics:
     def _drain_expecting(self, ex, pattern):
         with pytest.raises(DeadlockError, match=pattern) as ei:
             ex.drain()
         ex._pending.clear()
-        m = re.search(r"blocked-subgraph trace written to (\S+\.json)", str(ei.value))
-        assert m, str(ei.value)
+        message = str(ei.value)
+        m = re.search(r"blocked-subgraph trace written to (\S+\.json)", message)
+        assert m, message
         with open(m.group(1), encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh), message
 
-    def test_missing_producer_is_diagnosed_with_dump(self):
-        ex = ProcPoolExecutor(n_workers=1, store=None)
+    @pytest.mark.parametrize("backend", sorted(DEFERRED_EXECUTORS))
+    def test_missing_producer_is_diagnosed_with_dump(self, backend):
+        ex = DEFERRED_EXECUTORS[backend]()
         try:
             rec = make_record("orphan")
-            node = _ProcNode(rec.task_id, "orphan", [(rec, lambda: None, lambda _v: None, None)])
+            node = _Node(rec.task_id, "orphan", [(rec, lambda: None, lambda _v: None, None)])
             node.waiting_on = {999_999_999}
             with ex._lock:
                 ex._pending[node.task_id] = node
-            dump = self._drain_expecting(ex, "never submitted")
+            dump, _message = self._drain_expecting(ex, "never submitted")
             assert dump["schema"] == "repro-deadlock/1"
-            assert dump["backend"] == "procs"
+            assert dump["backend"] == backend
             assert dump["reason"] == "missing-producer"
             assert dump["blocked_subgraph"][0]["name"] == "orphan"
+            assert dump["blocked_subgraph"][0]["ready"] is False
         finally:
             ex.shutdown()
 
-    def test_cycle_is_diagnosed_with_fused_composition(self):
-        # Satellite: the blocked-subgraph dump must show what a fused
-        # node is *made of*, or a cycle through a coarse node is opaque.
-        ex = ProcPoolExecutor(n_workers=1, store=None)
+    @pytest.mark.parametrize("backend", sorted(DEFERRED_EXECUTORS))
+    def test_cycle_is_diagnosed_with_fused_composition(self, backend):
+        # The blocked-subgraph dump must show what a fused node is
+        # *made of*, or a cycle through a coarse node is opaque.
+        ex = DEFERRED_EXECUTORS[backend]()
         try:
             ra, rb, rc = make_record("a"), make_record("b"), make_record("c")
-            fused = _ProcNode(ra.task_id, "fused[a+b]", [
+            fused = _Node(ra.task_id, "fused[a+b]", [
                 (ra, lambda: None, lambda _v: None, None),
                 (rb, lambda: None, lambda _v: None, None),
             ])
-            other = _ProcNode(rc.task_id, "c", [(rc, lambda: None, lambda _v: None, None)])
+            other = _Node(rc.task_id, "c", [(rc, lambda: None, lambda _v: None, None)])
             fused.waiting_on = {rc.task_id}
             fused.dependents = [rc.task_id]
             other.waiting_on = {ra.task_id}
@@ -446,7 +549,8 @@ class TestDeadlockDiagnostics:
                 ex._pending[other.task_id] = other
                 ex._stalled.add(ra.task_id)
             ex.stall_monitor = lambda: {123456}
-            dump = self._drain_expecting(ex, "dependence cycle")
+            dump, message = self._drain_expecting(ex, "dependence cycle")
+            assert dump["backend"] == backend
             assert dump["reason"] == "dependence-cycle"
             entries = {e["name"]: e for e in dump["blocked_subgraph"]}
             assert entries["fused[a+b]"]["fused"] == [
@@ -456,15 +560,69 @@ class TestDeadlockDiagnostics:
             assert "fused" not in entries["c"]
             assert ra.task_id in dump["stalled_task_ids"]
             assert 123456 in dump["stalled_task_ids"]
+            # The message carries the fault-stall labels and note too.
+            assert f"{ra.task_id} (fused[a+b]) [fault-stalled]" in message
+            assert f"{rc.task_id} (c) [fault-stalled]" not in message
+            assert "fault-injection note" in message
         finally:
             ex.stall_monitor = None
             ex.shutdown()
+
+    def test_self_wait_through_inline_body_raises_not_hangs(self):
+        # A shipped fill X, then an inline host body A (after X) that
+        # blocks on the future of B, which depends on A: a cycle through
+        # the waiter.  It must be diagnosed, not hang the collector.
+        store = SharedRegionStore()
+        region = make_region(8)
+        store.allocate(region, "v")
+        ex = ProcPoolExecutor(n_workers=1, store=store)
+        b_submitted = threading.Event()
+        outcome = {}
+        try:
+            rx = make_record("fill", reqs=[rw_req(region)])
+            # A stall directive holds X on the worker until A and B are
+            # both submitted.
+            stall = SimpleNamespace(kind="stall", spec=SimpleNamespace(stall_ms=200.0))
+            ex.fault_directives[rx.task_id] = ([stall], None)
+            ex.submit(rx, lambda: pytest.fail("inline"), lambda _v: None, set(),
+                      invocation=TaskInvocation("fill", kwargs={"value": 1.0}, point=0))
+            ra = make_record("a")
+            rb = make_record("b", future_uid=-ra.task_id)
+
+            def body_a():
+                b_submitted.wait(timeout=10)
+                ex.wait_for_future(rb.future_uid)
+
+            ex.submit(ra, body_a, lambda _v: None, {rx.task_id})
+            ex.submit(rb, lambda: 1.0, lambda _v: None, {ra.task_id})
+            b_submitted.set()
+
+            def drain():
+                try:
+                    ex.drain()
+                except BaseException as exc:  # noqa: BLE001 - inspected below
+                    outcome["exc"] = exc
+
+            waiter = threading.Thread(target=drain, daemon=True)
+            waiter.start()
+            waiter.join(timeout=30)
+            assert not waiter.is_alive(), "drain() hung on a cycle through the waiter"
+            exc = outcome.get("exc")
+            assert isinstance(exc, ExecutorError), exc
+            cause = exc.__cause__
+            assert isinstance(cause, DeadlockError)
+            assert "dependence cycle through a blocking future read" in str(cause)
+            assert "blocked-subgraph trace written to" in str(cause)
+            assert stall.detail == "completed 200ms late"
+        finally:
+            ex.shutdown()
+            store.release()
 
     def test_worker_death_with_inflight_task_raises(self):
         ex = ProcPoolExecutor(n_workers=1, store=None)
         try:
             rec = make_record("stuck")
-            node = _ProcNode(rec.task_id, "stuck", [(rec, lambda: None, lambda _v: None, None)])
+            node = _Node(rec.task_id, "stuck", [(rec, lambda: None, lambda _v: None, None)])
             node.claimed = True
             with ex._lock:
                 ex._pending[node.task_id] = node
